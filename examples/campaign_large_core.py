@@ -13,17 +13,21 @@ cache behavior) changes.
 This walkthrough scales the Core Y stand-in up, runs the same random-pattern
 fault simulation with and without a budget, and prints what the budget
 bought: measured peak scan-workspace bytes, patterns/sec, and the OS-level
-peak RSS.  It then re-runs the budgeted scan through the sharded campaign
-path (`run_sharded_fault_sim`), whose shard states carry the budget to every
-worker, and checks all three runs agree bit for bit.
+peak RSS, and checks the two runs agree bit for bit.  It then runs the core
+as a campaign scenario through `CampaignRunner` twice -- serially without a
+budget, and sharded on a worker pool with `sim_memory_budget_mb` set, which
+the shard states carry to every worker -- and checks the two canonical
+reports are byte-identical.
 
 Run with::
 
     PYTHONPATH=src python examples/campaign_large_core.py \
-        [--scale 4.0] [--patterns 2048] [--block-size 2048] [--budget-mb 32]
+        [--scale 4.0] [--patterns 2048] [--block-size 2048] [--budget-mb 32] \
+        [--workers 2] [--shards 4]
 """
 
 import argparse
+import dataclasses
 import random
 import time
 
@@ -32,7 +36,8 @@ try:
 except ImportError:  # pragma: no cover - non-POSIX hosts
     resource = None
 
-from repro.campaign import run_sharded_fault_sim
+from repro.campaign import CampaignRunner, CampaignScenario
+from repro.core import LogicBistConfig
 from repro.cores import core_y_recipe
 from repro.faults import FaultSimulator, collapse_stuck_at
 from repro.simulation import HAVE_NUMPY, iter_blocks
@@ -121,33 +126,47 @@ def main() -> None:
         f"the unbounded throughput"
     )
 
-    print(
-        f"\nSharded campaign path: {args.shards} fault shards on "
-        f"{args.workers} worker(s), budget carried in the shard states..."
-    )
-    campaign_list = collapse_stuck_at(circuit).to_fault_list()
-    start = time.perf_counter()
-    run_sharded_fault_sim(
-        circuit,
-        campaign_list,
-        blocks,
-        num_workers=args.workers,
-        fault_shards=args.shards,
-        sim_backend="numpy",
-        sim_memory_budget_mb=args.budget_mb,
-    )
-    seconds = time.perf_counter() - start
-    print(
-        f"campaign: {seconds:.2f} s, coverage {campaign_list.coverage():.4%}"
-    )
+    reference, budgeted_list = fault_lists
+    for fault in reference.faults():
+        ref, got = reference.record(fault), budgeted_list.record(fault)
+        assert got.status is ref.status, str(fault)
+        assert got.first_detection == ref.first_detection, str(fault)
+    print("both engine runs bit-identical (statuses and first detections)")
 
-    reference = fault_lists[0]
-    for candidate in (fault_lists[1], campaign_list):
-        for fault in reference.faults():
-            ref, got = reference.record(fault), candidate.record(fault)
-            assert got.status is ref.status, str(fault)
-            assert got.first_detection == ref.first_detection, str(fault)
-    print("all three runs bit-identical (statuses and first detections)")
+    print(
+        f"\nCampaign path: {args.shards} fault shards on {args.workers} "
+        f"worker(s), budget carried in the shard states..."
+    )
+    config = LogicBistConfig(
+        tpi_method="none",
+        observation_point_budget=0,
+        random_patterns=args.patterns,
+        block_size=args.block_size,
+        signature_patterns=16,
+        sim_backend="numpy",
+    )
+    reports = []
+    for label, runner, budget_mb in (
+        ("serial, unbounded", CampaignRunner(num_workers=1), None),
+        (
+            f"{args.workers} worker(s), {args.budget_mb:g} MB budget",
+            CampaignRunner(num_workers=args.workers, fault_shards=args.shards),
+            args.budget_mb,
+        ),
+    ):
+        scenario = CampaignScenario(
+            recipe.name,
+            circuit,
+            dataclasses.replace(config, sim_memory_budget_mb=budget_mb),
+        )
+        result = runner.run([scenario])
+        reports.append(result.report_bytes())
+        print(
+            f"{label:>28}: {result.seconds:7.2f} s  coverage "
+            f"{result[recipe.name].coverage:.4%}"
+        )
+    assert reports[0] == reports[1], "budgeted pooled campaign diverged"
+    print("campaign reports byte-identical at any budget and worker count")
 
 
 if __name__ == "__main__":

@@ -21,54 +21,34 @@
 #                                 and pytest-benchmark timing loops are
 #                                 disabled so every benchmarked body runs
 #                                 exactly once.
-#   scripts/verify.sh transition  serial at-speed smoke subset: the
-#                                 transition-marked campaign/timing tests
-#                                 with multiprocess pools deselected -- the
-#                                 quick check after touching the transition
-#                                 fan-out, skew sweep or timing/ layer.
-#                                 (These tests also run in the fast tier;
-#                                 this tier just isolates them.)
-#   scripts/verify.sh service     serial campaign-service subset: the
-#                                 service-marked tests (asyncio job queue,
-#                                 crash-injection checkpoint/resume, event
-#                                 stream reassembly, service-tier kernel
-#                                 cache) on the SerialScheduler only -- the
-#                                 quick check after touching src/repro/
-#                                 service/.  The pooled service matrix runs
-#                                 in the full tier.
-#   scripts/verify.sh chaos       the fault-injection resilience suite: the
-#                                 chaos-marked tests (retry/backoff, stage
-#                                 timeouts, worker-crash recovery, scenario
-#                                 degradation, corrupt-checkpoint fallback),
-#                                 real worker pools included -- the check
-#                                 after touching the schedulers' resilience
-#                                 machinery or repro/campaign/chaos.py.
-#                                 Includes the service-tier lifecycle
-#                                 injections (cancel mid-stage, deadline
-#                                 mid-schedule, crash between resume
-#                                 attempts).
-#   scripts/verify.sh lifecycle   serial job-lifecycle subset: the
-#                                 lifecycle-marked tests (cancellation,
-#                                 job deadlines, bounded shutdown,
-#                                 crash-loop quarantine) without worker
-#                                 pools -- the quick check after touching
-#                                 the cancel/deadline/shutdown machinery in
-#                                 service/queue.py or the schedulers'
-#                                 CancelToken path.  The pooled lifecycle
-#                                 matrix runs in the full tier.
+#   scripts/verify.sh marker EXPR [pytest args...]
+#                                 the marker subset EXPR (a pytest -m
+#                                 expression; quote it) -- the quick check
+#                                 after touching one layer, e.g.
+#                                   marker "transition and not multiprocess"
+#                                     at-speed campaign/timing tests, serial
+#                                   marker "service and not multiprocess"
+#                                     campaign-service tests, serial
+#                                   marker "lifecycle and not multiprocess"
+#                                     cancel/deadline/shutdown/quarantine
+#                                   marker chaos
+#                                     fault-injection suite, real pools too
+#                                 The pooled halves of these subsets run in
+#                                 the full tier.
 #
 # Markers:
 #   slow          exhaustive LFSR period walks (widths 14-20)
-#   multiprocess  tests that spawn real multiprocessing pools
-#                 (campaign shard pools, the pipeline PooledScheduler)
+#   multiprocess  tests that spawn real worker pools (the stage-graph
+#                 PooledScheduler) or fresh interpreters
 #   numpy         optional numpy-backend tests; auto-skip without NumPy
 #   transition    at-speed (transition / skew-sweep) campaign and timing
-#                 tests; the serial subset is the transition tier above
+#                 tests
 #   service       campaign-service tests; auto-skip when asyncio or
-#                 repro.service is unavailable; the serial subset is the
-#                 service tier above
+#                 repro.service is unavailable
 #   chaos         fault-injection resilience tests; auto-skip without
 #                 POSIX process primitives (os.kill / SIGKILL)
+#   lifecycle     job-lifecycle tests (cancellation, deadlines, bounded
+#                 shutdown, crash-loop quarantine)
 #
 # Extra arguments after the tier name pass straight to pytest, e.g.
 #   scripts/verify.sh fast tests/campaign -k pipeline
@@ -92,20 +72,17 @@ case "$tier" in
     BENCH_SMOKE=1 exec python -m pytest -x -q --benchmark-disable \
       benchmarks/bench_*.py "$@"
     ;;
-  transition)
-    exec python -m pytest -x -q -m "transition and not multiprocess" "$@"
-    ;;
-  service)
-    exec python -m pytest -x -q -m "service and not multiprocess" "$@"
-    ;;
-  chaos)
-    exec python -m pytest -x -q -m "chaos" "$@"
-    ;;
-  lifecycle)
-    exec python -m pytest -x -q -m "lifecycle and not multiprocess" "$@"
+  marker)
+    if [ "$#" -eq 0 ]; then
+      echo "usage: scripts/verify.sh marker EXPR [pytest args...]" >&2
+      exit 2
+    fi
+    expr="$1"
+    shift
+    exec python -m pytest -x -q -m "$expr" "$@"
     ;;
   *)
-    echo "usage: scripts/verify.sh [fast|full|bench-smoke|transition|service|chaos|lifecycle] [pytest args...]" >&2
+    echo "usage: scripts/verify.sh [fast|full|bench-smoke|marker EXPR] [pytest args...]" >&2
     exit 2
     ;;
 esac

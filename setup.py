@@ -1,9 +1,8 @@
-"""Setuptools entry point.
+"""Setuptools entry point: the package metadata.
 
-The pyproject.toml [project] table carries the metadata; this file exists so
-that ``pip install -e .`` works with older setuptools/pip stacks (legacy
-``setup.py develop`` editable installs) in offline environments without the
-``wheel`` package.
+A plain ``setup.py`` keeps ``pip install -e .`` working with older
+setuptools/pip stacks (legacy ``setup.py develop`` editable installs) in
+offline environments without the ``wheel`` package.
 """
 
 from setuptools import find_packages, setup

@@ -1,34 +1,33 @@
-"""Sharded multi-process fault-simulation campaigns (S11).
+"""Sharded multi-process logic BIST campaigns (S11).
 
 Public API:
 
 * :class:`~repro.campaign.runner.CampaignRunner` /
   :class:`~repro.campaign.runner.CampaignScenario` -- fan many
   (core, :class:`~repro.core.config.LogicBistConfig`) scenario pairs out
-  over one ``multiprocessing`` worker pool.  Since PR 4 the runner drives
-  the **stage-graph pipeline**: preparation (scan insertion, TPI profiling,
+  over one stage graph: preparation (scan insertion, TPI profiling,
   STUMPS/session assembly, signature-response derivation) is pooled work
-  alongside the fault-sim shards, not parent-process serial code,
+  alongside the fault-scan shards, not parent-process serial code,
 * :mod:`repro.campaign.pipeline` -- the typed stage tasks
   (:class:`~repro.campaign.pipeline.PrepareCoreStage`,
-  :class:`~repro.campaign.pipeline.TpiProfileStage`, ...) and the
-  per-scenario graph builder
-  :func:`~repro.campaign.pipeline.scenario_stage_nodes`,
+  :class:`~repro.campaign.pipeline.TpiProfileStage`, ...), the shard scan
+  primitives every fault-scan shard runs
+  (:class:`~repro.campaign.pipeline.ShardFanOutStage`,
+  :func:`~repro.campaign.pipeline.run_shard_task`) and the per-scenario
+  graph builder :func:`~repro.campaign.pipeline.scenario_stage_nodes`,
 * :mod:`repro.campaign.scheduler` -- the two executors of a stage graph:
   the deterministic in-process
   :class:`~repro.campaign.scheduler.SerialScheduler` (the oracle; the
   serial :class:`~repro.core.flow.LogicBistFlow` walk) and the
-  :class:`~repro.campaign.scheduler.PooledScheduler` worker pool,
-* :func:`~repro.campaign.runner.run_sharded_fault_sim` /
-  :func:`~repro.campaign.runner.run_sharded_transition_sim` -- sharded
-  drop-ins for the serial simulators (single-phase fan-out),
+  :class:`~repro.campaign.scheduler.PooledScheduler` worker pool, the only
+  process pool of the package,
 * the shard planners in :mod:`repro.campaign.sharding` and the
   order-independent mergers in :mod:`repro.campaign.results`.
 
 The serial compiled-kernel path remains the default and the bit-exactness
 oracle: merged campaign results (detection records, coverage curves, MISR
 signatures) are bit-identical to it across shard counts, block sizes,
-shard-assignment permutations, worker counts and execution backends --
+shard-order permutations, worker counts and execution backends --
 ``tests/campaign`` asserts all of this with a randomized differential
 harness, TPI-heavy pipelined preparation included.
 """
@@ -50,7 +49,6 @@ from .results import (
     CampaignResult,
     ScenarioResult,
     ShardOutcome,
-    SignatureOutcome,
     assemble_scenario_canonical,
     build_simulation_result,
     canonical_failure,
@@ -58,23 +56,7 @@ from .results import (
     merge_first_detections,
     sort_failures,
 )
-from .runner import (
-    CacheStats,
-    CampaignRunner,
-    CampaignScenario,
-    EngineCache,
-    KeyedLruCache,
-    FaultShardTask,
-    ShardPayload,
-    SignatureShardTask,
-    TransitionShardTask,
-    execute_tasks,
-    plan_shard_tasks,
-    run_shard_task,
-    run_sharded_fault_sim,
-    run_sharded_transition_sim,
-    with_offsets,
-)
+from .runner import CampaignRunner, CampaignScenario
 from .scheduler import (
     CancelToken,
     Expansion,
@@ -92,10 +74,13 @@ from .scheduler import (
 )
 from .pipeline import (
     BuildStumpsStage,
-    FaultSimStage,
+    EngineCache,
     PrepareCoreStage,
     ReportStage,
     ScenarioBundle,
+    ShardFanOutStage,
+    ShardPayload,
+    ShardTask,
     SignatureStage,
     SkewOutcome,
     SkewSweepStage,
@@ -103,8 +88,9 @@ from .pipeline import (
     TopUpStage,
     TpiProfileStage,
     TransitionOutcome,
-    TransitionStage,
+    plan_shard_tasks,
     release_scenario_engines,
+    run_shard_task,
     scenario_stage_nodes,
     unique_scenario_key,
 )
@@ -130,28 +116,14 @@ __all__ = [
     "ScenarioResult",
     "SeededChaosPlan",
     "ShardOutcome",
-    "SignatureOutcome",
     "assemble_scenario_canonical",
     "build_simulation_result",
     "canonical_failure",
     "canonical_report_bytes",
     "merge_first_detections",
     "sort_failures",
-    "CacheStats",
     "CampaignRunner",
     "CampaignScenario",
-    "EngineCache",
-    "KeyedLruCache",
-    "FaultShardTask",
-    "ShardPayload",
-    "SignatureShardTask",
-    "TransitionShardTask",
-    "execute_tasks",
-    "plan_shard_tasks",
-    "run_shard_task",
-    "run_sharded_fault_sim",
-    "run_sharded_transition_sim",
-    "with_offsets",
     "CancelToken",
     "Expansion",
     "PipelineRun",
@@ -166,10 +138,13 @@ __all__ = [
     "StageTrace",
     "WorkerCrashError",
     "BuildStumpsStage",
-    "FaultSimStage",
+    "EngineCache",
     "PrepareCoreStage",
     "ReportStage",
     "ScenarioBundle",
+    "ShardFanOutStage",
+    "ShardPayload",
+    "ShardTask",
     "SignatureStage",
     "SkewOutcome",
     "SkewSweepStage",
@@ -177,8 +152,9 @@ __all__ = [
     "TopUpStage",
     "TpiProfileStage",
     "TransitionOutcome",
-    "TransitionStage",
+    "plan_shard_tasks",
     "release_scenario_engines",
+    "run_shard_task",
     "scenario_stage_nodes",
     "unique_scenario_key",
     "contiguous_shards",

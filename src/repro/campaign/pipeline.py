@@ -18,9 +18,10 @@ Two properties carry the whole design:
   cannot drift from it.
 * **Fan-out is just expansion.**  The shard planners of
   :mod:`repro.campaign.sharding` become the fan-out rule of
-  :class:`FaultSimStage` / :class:`TransitionStage`: once a scenario's fault
-  list and pattern blocks exist, a local expander splices one shard node per
-  grid cell plus an order-independent merge node into the graph.  Pooled
+  :class:`ShardFanOutStage`, the one shard executor of both fault scans
+  (stuck-at and transition): once a scan's fault list and pattern blocks
+  exist, a local expander splices one shard node per grid cell plus an
+  order-independent merge node into the graph.  Pooled
   preparation and pooled simulation therefore drain through the *same* pool
   -- scenario B's TPI profiling (itself a full fault simulation under
   ``tpi_method="fault_sim"``) runs while scenario A's shards are in flight,
@@ -28,16 +29,19 @@ Two properties carry the whole design:
   campaign runner.
 
 Stage tasks ship their scenario's ``LogicBistConfig`` and read everything
-else from their inputs; ``sim_backend`` / ``block_size`` ride each stage's
-payload exactly as they rode the PR-2 shard payloads.
+else from their inputs; ``sim_backend`` and the memory budget ride the shard
+states into every worker.
 """
 
 from __future__ import annotations
 
 import copy
 import dataclasses
+import itertools
+import os
+import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import Mapping, Optional, Sequence, Union
 
 from ..atpg.podem import AtpgResult
 from ..atpg.topup import TopUpAtpg, TopUpResult
@@ -61,7 +65,7 @@ from ..faults.models import StuckAtFault, TransitionFault
 from ..faults.transition_sim import TransitionSimShardState, derive_capture_patterns
 from ..netlist.circuit import Circuit
 from ..netlist.library import CellLibrary
-from ..simulation.packed import PatternBlock
+from ..simulation.packed import PatternBlock, iter_blocks
 from ..timing.clocks import ClockTreeModel
 from ..timing.double_capture import CaptureSchedule, CaptureWindowScheduler
 from ..timing.skew_analysis import (
@@ -70,15 +74,12 @@ from ..timing.skew_analysis import (
     run_skew_trials,
 )
 from ..tpi.observation_points import ObservationPointPlan
-from .results import ScenarioResult, merge_first_detections, build_simulation_result
-from .runner import (
-    FaultShardTask,
-    ShardPayload,
-    TransitionShardTask,
-    _unique_key,
-    build_pair_blocks,
-    plan_shard_tasks,
-    run_shard_task,
+from ..util.cache import KeyedLruCache
+from .results import (
+    ScenarioResult,
+    ShardOutcome,
+    build_simulation_result,
+    merge_first_detections,
 )
 from .scheduler import (
     CATEGORY_CONTROL,
@@ -87,7 +88,12 @@ from .scheduler import (
     Expansion,
     StageNode,
 )
-from .sharding import contiguous_shards, fault_site_keys, keyed_round_robin_shards
+from .sharding import (
+    contiguous_shards,
+    fault_site_nets,
+    keyed_round_robin_shards,
+    plan_grid,
+)
 
 #: Flow phase names the stage graph accounts its time to -- exactly the
 #: five :class:`~repro.core.flow.PhaseTiming` buckets the flow has always
@@ -100,9 +106,76 @@ PHASE_AT_SPEED = "at_speed_analysis"
 PHASE_ORDER = (PHASE_SCAN, PHASE_TPI, PHASE_RANDOM, PHASE_TOPUP, PHASE_AT_SPEED)
 
 
+# --------------------------------------------------------------------- #
+# Shard scan primitives (everything here must pickle cleanly)
+# --------------------------------------------------------------------- #
+@dataclass(frozen=True)
+class ShardPayload:
+    """The shard inputs one fault-scan shard stage embeds.
+
+    ``state`` is the pickleable compiled-kernel shard state (circuit,
+    observation nets, canonical fault ordering); ``blocks`` is the ordered
+    block run the task indexes into -- ``(offset, PatternBlock)`` pairs for
+    the stuck-at scan, ``(offset, launch, capture)`` triples for the
+    transition scan.
+    """
+
+    state: Union[FaultSimShardState, TransitionSimShardState]
+    blocks: tuple
+
+
+@dataclass(frozen=True)
+class ShardTask:
+    """One fault-scan shard: fault indices scanned over a block-index run."""
+
+    scenario_key: str
+    shard_id: int
+    fault_indices: tuple[int, ...]
+    block_indices: tuple[int, ...]
+
+
+#: Default capacity of the per-process compiled-engine LRU.  An engine holds
+#: a compiled kernel plus its lazily-built fanout-cone plans, which for a
+#: large core is tens of megabytes -- a long many-scenario campaign must not
+#: accumulate one per scenario forever.
+DEFAULT_ENGINE_CACHE_SIZE = 8
+
+
+class EngineCache(KeyedLruCache):
+    """Small per-process LRU of compiled shard engines.
+
+    Keyed by ``(scenario key, engine kind)``.  Fork/spawn children start
+    empty; tasks of the same scenario landing on the same worker recompile
+    nothing, while scenarios beyond ``maxsize`` evict least-recently-used
+    engines instead of growing without bound across a long campaign
+    (eviction only ever costs a recompile -- results are unaffected).
+    """
+
+    def __init__(self, maxsize: int = DEFAULT_ENGINE_CACHE_SIZE) -> None:
+        super().__init__(maxsize)
+
+    def get_or_build(self, scenario_key: str, kind: str, state) -> object:
+        """The cached engine for ``(scenario_key, kind)``, building on miss."""
+        return super().get_or_build((scenario_key, kind), state.build_simulator)
+
+    def discard_scenario(self, scenario_key: str) -> None:
+        """Drop every engine kind cached for ``scenario_key``."""
+        for kind in ("stuck", "transition"):
+            self.discard((scenario_key, kind))
+
+
+#: Per-process engine LRU (see :class:`EngineCache`).
+_ENGINE_CACHE = EngineCache()
+
+#: Monotonic nonce making every campaign invocation's scenario keys unique, so
+#: a cached engine can never be confused across calls (two campaigns may
+#: reuse the same human-readable scenario name).
+_KEY_COUNTER = itertools.count()
+
+
 def unique_scenario_key(prefix: str) -> str:
-    """A campaign-unique scenario key (see ``runner._unique_key``)."""
-    return _unique_key(prefix)
+    """A campaign-unique scenario key: ``prefix@<pid>.<counter>``."""
+    return f"{prefix}@{os.getpid()}.{next(_KEY_COUNTER)}"
 
 
 def release_scenario_engines(scenario_keys) -> None:
@@ -115,10 +188,110 @@ def release_scenario_engines(scenario_keys) -> None:
     leave dead entries pinned in the LRU until eviction.  Harmless after a
     pooled run (the workers held the engines and are gone with the pool).
     """
-    from .runner import _ENGINE_CACHE
-
     for scenario_key in scenario_keys:
         _ENGINE_CACHE.discard_scenario(scenario_key)
+
+
+def run_shard_task(task: ShardTask, payload: ShardPayload) -> ShardOutcome:
+    """Run one fault/transition shard scan against its payload.
+
+    Builds (or reuses, via the per-process :class:`EngineCache`) the
+    compiled engine for the task's scenario and scans the task's fault
+    indices over its block run.
+    """
+    # The timer covers engine construction too: a worker's first task of a
+    # scenario really pays kernel compilation, and the recorded per-shard
+    # seconds must reflect that full cost.
+    start = time.perf_counter()
+    transition = isinstance(payload.state, TransitionSimShardState)
+    engine = _ENGINE_CACHE.get_or_build(
+        task.scenario_key, "transition" if transition else "stuck", payload.state
+    )
+    # The stuck-at engine counts its own gate evaluations; the transition
+    # engine delegates them to its embedded stuck-at observability engine.
+    counter = engine.stuck_engine if transition else engine
+    faults = [payload.state.faults[index] for index in task.fault_indices]
+    blocks = [payload.blocks[index] for index in task.block_indices]
+    evals_before = counter.gate_evals
+    found = engine.first_detections(faults, blocks)
+    seconds = time.perf_counter() - start
+    index_of = {payload.state.faults[index]: index for index in task.fault_indices}
+    return ShardOutcome(
+        scenario_key=task.scenario_key,
+        shard_id=task.shard_id,
+        first_detections={
+            index_of[fault]: pattern for fault, pattern in found.items()
+        },
+        gate_evals=counter.gate_evals - evals_before,
+        seconds=seconds,
+    )
+
+
+def plan_shard_tasks(
+    scenario_key: str,
+    circuit: Circuit,
+    faults: Sequence[object],
+    num_blocks: int,
+    fault_shards: int,
+    pattern_shards: int,
+) -> list[ShardTask]:
+    """The shard grid of one scan: site-local fault groups x block runs."""
+    return [
+        ShardTask(
+            scenario_key=scenario_key,
+            shard_id=shard_id,
+            fault_indices=fault_group,
+            block_indices=block_group,
+        )
+        for shard_id, (fault_group, block_group) in enumerate(
+            plan_grid(
+                len(faults),
+                num_blocks,
+                fault_shards,
+                pattern_shards,
+                fault_keys=fault_site_nets(circuit, faults),
+            )
+        )
+    ]
+
+
+def slice_shard_payload(
+    task: ShardTask, state, blocks
+) -> tuple[ShardTask, ShardPayload]:
+    """Rebase a shard task onto a payload holding only its own block run.
+
+    Block entries are self-describing -- ``(global offset, ...)`` tuples --
+    so slicing never changes the global pattern indices a shard reports, and
+    the fault axis keeps the full canonical ordering (outcome fault indices
+    must stay campaign-global for the min-merge).
+    """
+    sliced = tuple(blocks[index] for index in task.block_indices)
+    rebased = dataclasses.replace(
+        task, block_indices=tuple(range(len(sliced)))
+    )
+    return rebased, ShardPayload(state, sliced)
+
+
+def build_pair_blocks(
+    circuit: Circuit,
+    launch_patterns: Sequence[Mapping[str, int]],
+    capture_patterns: Sequence[Mapping[str, int]],
+    block_size: int,
+) -> tuple[tuple[int, PatternBlock, PatternBlock], ...]:
+    """Pack aligned launch/capture lists into (offset, launch, capture) triples."""
+    stimulus_nets = circuit.stimulus_nets()
+    launch_blocks = iter_blocks(
+        launch_patterns, block_size=block_size, nets=stimulus_nets
+    )
+    capture_blocks = iter_blocks(
+        capture_patterns, block_size=block_size, nets=stimulus_nets
+    )
+    pair_blocks: list[tuple[int, PatternBlock, PatternBlock]] = []
+    cursor = 0
+    for launch_block, capture_block in zip(launch_blocks, capture_blocks):
+        pair_blocks.append((cursor, launch_block, capture_block))
+        cursor += launch_block.num_patterns
+    return tuple(pair_blocks)
 
 
 # --------------------------------------------------------------------- #
@@ -208,7 +381,8 @@ class TransitionBundle:
 
     scenario_key: str
     state: TransitionSimShardState
-    pair_blocks: tuple[tuple[int, PatternBlock, PatternBlock], ...]
+    #: ``(global offset, launch block, capture block)`` triples.
+    offset_blocks: tuple[tuple[int, PatternBlock, PatternBlock], ...]
     fault_list: FaultList
     boundaries: tuple[int, ...]
 
@@ -315,7 +489,7 @@ class BuildStumpsStage:
 
     Streams the whole random-pattern session into packed blocks and bundles
     the pickleable fault-sim shard state -- the fan-out payload of
-    :class:`FaultSimStage`.
+    :class:`ShardFanOutStage`.
     """
 
     scenario_key: str
@@ -364,28 +538,33 @@ class BuildStumpsStage:
 
 
 @dataclass(frozen=True)
-class FaultSimStage:
-    """Phase 4 fan-out rule: shard the fault universe over the session.
+class ShardFanOutStage:
+    """Fan-out rule of a sharded fault scan (stuck-at random phase, transition).
 
-    A local expander: once the bundle exists, the PR-2 shard planner
-    (site-local keyed round-robin faults x contiguous block runs) decides the
-    grid, and the expansion splices one :class:`FaultSimShardStage` per cell
-    plus a :class:`MergeDetectionsStage` reducer into the graph.
+    A local expander over a shard bundle -- a :class:`ScenarioBundle` or a
+    :class:`TransitionBundle`, both of which carry ``scenario_key``,
+    ``state`` and ``offset_blocks``.  The shard planner (site-local keyed
+    round-robin faults x contiguous block runs) decides the grid, and the
+    expansion splices one :class:`ShardScanStage` per cell plus the
+    ``merge`` reducer (:class:`MergeDetectionsStage` or
+    :class:`TransitionMergeStage`) into the graph.
     """
 
-    bundle_key: str
+    source_key: str
     prefix: str
     scenario: str
+    phase: str
+    merge: object
     fault_shards: int
     pattern_shards: int = 1
 
-    def run(self, bundle: ScenarioBundle) -> Expansion:
+    def run(self, source) -> Expansion:
+        state = source.state
         tasks = plan_shard_tasks(
-            FaultShardTask,
-            bundle.scenario_key,
-            bundle.core.circuit,
-            bundle.state.faults,
-            len(bundle.offset_blocks),
+            source.scenario_key,
+            state.circuit,
+            state.faults,
+            len(source.offset_blocks),
             self.fault_shards,
             self.pattern_shards,
         )
@@ -394,15 +573,15 @@ class FaultSimStage:
         # indices rebased onto the slice.  The pooled scheduler pickles a
         # stage's inputs/task per submission, so slicing keeps the total
         # shipped bytes at fault_shards x session (independent of pattern
-        # shards) -- and fault_shards defaults to the worker count, which
-        # makes per-task shipping cost the once-per-worker cost of PR 2.
+        # shards), and a submission never re-pickles the merge-side fault
+        # list or another shard's block run.
         shard_nodes = tuple(
             StageNode(
                 key=f"{self.prefix}/shard{task.shard_id}",
-                task=FaultSimShardStage(*slice_shard_payload(
-                    task, bundle.state, bundle.offset_blocks
+                task=ShardScanStage(*slice_shard_payload(
+                    task, state, source.offset_blocks
                 )),
-                phase=PHASE_RANDOM,
+                phase=self.phase,
                 scenario=self.scenario,
                 category=CATEGORY_SIM,
             )
@@ -411,39 +590,24 @@ class FaultSimStage:
         merge_key = f"{self.prefix}/merged"
         merge = StageNode(
             key=merge_key,
-            task=MergeDetectionsStage(),
-            deps=(self.bundle_key, *(node.key for node in shard_nodes)),
+            task=self.merge,
+            deps=(self.source_key, *(node.key for node in shard_nodes)),
             local=True,
-            phase=PHASE_RANDOM,
+            phase=self.phase,
             scenario=self.scenario,
             category=CATEGORY_CONTROL,
         )
         return Expansion(nodes=(*shard_nodes, merge), result=merge_key)
 
 
-def slice_shard_payload(task, state, blocks):
-    """Rebase a shard task onto a payload holding only its own block run.
-
-    Block entries are self-describing -- ``(global offset, ...)`` tuples --
-    so slicing never changes the global pattern indices a shard reports, and
-    the fault axis keeps the full canonical ordering (outcome fault indices
-    must stay campaign-global for the min-merge).
-    """
-    sliced = tuple(blocks[index] for index in task.block_indices)
-    rebased = dataclasses.replace(
-        task, block_indices=tuple(range(len(sliced)))
-    )
-    return rebased, ShardPayload(state, sliced)
-
-
 @dataclass(frozen=True)
-class FaultSimShardStage:
-    """One stuck-at shard scan (executes the PR-2 shard task verbatim)."""
+class ShardScanStage:
+    """One fault-scan shard (stuck-at or transition) over its payload slice."""
 
-    task: FaultShardTask
+    task: ShardTask
     payload: ShardPayload
 
-    def run(self):
+    def run(self) -> ShardOutcome:
         return run_shard_task(self.task, self.payload)
 
 
@@ -530,10 +694,9 @@ class SignatureStage:
                     deps=(responses_key,),
                     phase=PHASE_RANDOM,
                     scenario=self.scenario,
-                    # "sim", not "prep": the pre-pipeline runner already
-                    # pooled the per-domain folds (SignatureShardTask), so
-                    # the Amdahl accounting must not credit them to the old
-                    # parent-serial bucket.
+                    # "sim", not "prep": the per-domain folds are
+                    # independent pooled work, so the Amdahl accounting
+                    # must not credit them to the parent-serial bucket.
                     category=CATEGORY_SIM,
                 )
             )
@@ -585,8 +748,8 @@ class SignatureResponsesStage:
 class SignatureFoldStage:
     """Fold one clock domain's filtered response stream into its MISR.
 
-    Carries its own (already deep-copied) :class:`StumpsDomain`, exactly as
-    the PR-2 ``SignatureShardTask`` did.
+    Carries its own (already deep-copied) :class:`StumpsDomain`, so a
+    pooled fold pickles one domain, not the whole bundle.
     """
 
     config: LogicBistConfig
@@ -661,8 +824,8 @@ def _apply_input_selector(core: BistReadyCore, config: LogicBistConfig,
 class TopUpStage:
     """Phase 5 fan-out rule: PODEM top-up ATPG on the post-random fault list.
 
-    A local expander (mirrors :class:`FaultSimStage`): the undetected
-    stuck-at targets are partitioned with the PR-2 site-local keyed
+    A local expander (mirrors :class:`ShardFanOutStage`): the undetected
+    stuck-at targets are partitioned with the fault scan's site-local keyed
     round-robin (faults sharing a fault site stay in one shard, so each
     site's cone plans compile in exactly one worker's shared kernel), one
     :class:`PodemShardStage` per shard speculatively generates every
@@ -700,7 +863,7 @@ class TopUpStage:
             )
             return Expansion(nodes=(node,), result=serial_key)
         groups = keyed_round_robin_shards(
-            fault_site_keys(circuit, targets), self.fault_shards
+            fault_site_nets(circuit, targets), self.fault_shards
         )
         shard_nodes = tuple(
             StageNode(
@@ -842,72 +1005,13 @@ class TransitionPrepStage:
         return TransitionBundle(
             scenario_key=inputs.scenario_key,
             state=state,
-            pair_blocks=pair_blocks,
+            offset_blocks=pair_blocks,
             fault_list=fault_list,
             boundaries=tuple(
                 offset + launch_block.num_patterns
                 for offset, launch_block, _ in pair_blocks
             ),
         )
-
-
-@dataclass(frozen=True)
-class TransitionStage:
-    """Transition-fault fan-out rule (mirrors :class:`FaultSimStage`)."""
-
-    prep_key: str
-    prefix: str
-    scenario: str
-    fault_shards: int
-    pattern_shards: int = 1
-
-    def run(self, prep: TransitionBundle) -> Expansion:
-        tasks = plan_shard_tasks(
-            TransitionShardTask,
-            prep.scenario_key,
-            prep.state.circuit,
-            prep.state.faults,
-            len(prep.pair_blocks),
-            self.fault_shards,
-            self.pattern_shards,
-        )
-        # As with FaultSimStage: each shard embeds its sliced payload, so a
-        # pooled submission never re-pickles the merge-side fault list or
-        # another shard's block run.
-        shard_nodes = tuple(
-            StageNode(
-                key=f"{self.prefix}/shard{task.shard_id}",
-                task=TransitionShardStage(*slice_shard_payload(
-                    task, prep.state, prep.pair_blocks
-                )),
-                phase=PHASE_AT_SPEED,
-                scenario=self.scenario,
-                category=CATEGORY_SIM,
-            )
-            for task in tasks
-        )
-        merge_key = f"{self.prefix}/merged"
-        merge = StageNode(
-            key=merge_key,
-            task=TransitionMergeStage(),
-            deps=(self.prep_key, *(node.key for node in shard_nodes)),
-            local=True,
-            phase=PHASE_AT_SPEED,
-            scenario=self.scenario,
-            category=CATEGORY_CONTROL,
-        )
-        return Expansion(nodes=(*shard_nodes, merge), result=merge_key)
-
-
-@dataclass(frozen=True)
-class TransitionShardStage:
-    """One transition shard over aligned (launch, capture) block pairs."""
-
-    task: TransitionShardTask
-    payload: ShardPayload
-
-    def run(self):
-        return run_shard_task(self.task, self.payload)
 
 
 @dataclass(frozen=True)
@@ -964,7 +1068,7 @@ class TrimSkewInputStage:
 
 @dataclass(frozen=True)
 class SkewSweepStage:
-    """Fig. 3 Monte-Carlo fan-out rule (mirrors :class:`FaultSimStage`).
+    """Fig. 3 Monte-Carlo fan-out rule (mirrors :class:`ShardFanOutStage`).
 
     A local expander: ``config.skew_trials`` trial indices split into
     balanced contiguous runs, one pooled :class:`SkewTrialsStage` per run,
@@ -1224,10 +1328,12 @@ def scenario_stage_nodes(
         ),
         StageNode(
             key=keys["fault_sim"],
-            task=FaultSimStage(
-                bundle_key=keys["bundle"],
+            task=ShardFanOutStage(
+                source_key=keys["bundle"],
                 prefix=keys["fault_sim"],
                 scenario=name,
+                phase=PHASE_RANDOM,
+                merge=MergeDetectionsStage(),
                 fault_shards=max(1, fault_shards),
                 pattern_shards=max(1, pattern_shards),
             ),
@@ -1311,10 +1417,12 @@ def scenario_stage_nodes(
         nodes.append(
             StageNode(
                 key=keys["transition"],
-                task=TransitionStage(
-                    prep_key=keys["transition_prep"],
+                task=ShardFanOutStage(
+                    source_key=keys["transition_prep"],
                     prefix=keys["transition"],
                     scenario=name,
+                    phase=PHASE_AT_SPEED,
+                    merge=TransitionMergeStage(),
                     fault_shards=max(1, fault_shards),
                     pattern_shards=max(1, pattern_shards),
                 ),

@@ -61,15 +61,6 @@ class ShardOutcome:
     seconds: float = 0.0
 
 
-@dataclass(frozen=True)
-class SignatureOutcome:
-    """Final MISR state of one clock domain, folded by a signature shard."""
-
-    scenario_key: str
-    domain: str
-    signature: int
-
-
 def merge_first_detections(
     outcomes: Iterable[ShardOutcome],
 ) -> dict[int, int]:
@@ -88,7 +79,6 @@ def build_simulation_result(
     faults: Sequence[object],
     merged: Mapping[int, int],
     block_boundaries: Sequence[int],
-    pattern_offset: int = 0,
 ) -> FaultSimulationResult:
     """Materialise the serial-equivalent result from merged detections.
 
@@ -106,9 +96,6 @@ def build_simulation_result(
         Cumulative pattern counts after each serial block (e.g. ``[256, 512]``
         for two 256-pattern blocks); these are the serial coverage-curve
         sample points.
-    pattern_offset:
-        Global index of the first pattern of the campaign (mirrors the
-        serial ``simulate(..., pattern_offset=...)`` parameter).
     """
     total_patterns = block_boundaries[-1] if block_boundaries else 0
     detections_per_pattern = [0] * total_patterns
@@ -117,14 +104,11 @@ def build_simulation_result(
     ordered = sorted(merged.items())
     for fault_index, pattern_index in ordered:
         fault_list.mark_detected(faults[fault_index], pattern_index)
-        relative = pattern_index - pattern_offset
-        detections_per_pattern[relative] += 1
+        detections_per_pattern[pattern_index] += 1
 
     result = FaultSimulationResult(fault_list, total_patterns)
     result.detections_per_pattern = detections_per_pattern
-    cumulative = 0
     for boundary in block_boundaries:
-        cumulative = boundary
         # coverage() recounts the fault list, which at this point already
         # holds *all* merged detections -- but the serial curve sample after
         # block k only counts detections at pattern indices < boundary.
@@ -132,11 +116,11 @@ def build_simulation_result(
         detected = sum(
             1
             for record_fault in fault_list.faults()
-            if _detected_before(fault_list, record_fault, pattern_offset + boundary)
+            if _detected_before(fault_list, record_fault, boundary)
         )
         total = len(fault_list)
         coverage = 1.0 if total == 0 else detected / total
-        result.coverage_curve.append((pattern_offset + cumulative, coverage))
+        result.coverage_curve.append((boundary, coverage))
     return result
 
 

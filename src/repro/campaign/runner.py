@@ -1,515 +1,49 @@
-"""Sharded multi-process fault-simulation campaign runner.
+"""Multi-scenario BIST campaigns over the stage graph.
 
-The runner fans a fault-simulation campaign out across ``multiprocessing``
-workers along the axes planned by :mod:`repro.campaign.sharding`:
-
-* **fault shards** of the collapsed fault list (site-local keyed round-robin:
-  faults sharing a fault site stay in one shard, so every site's fanout-cone
-  plan is compiled by exactly one worker),
-* **pattern shards** of the packed STUMPS block stream (contiguous runs),
-* **signature shards**, one per clock domain (each domain's MISR only reads
-  its own chains, so domains fold independently),
-* and, at the top level, many **(core, LogicBistConfig) scenario pairs**
-  whose stages all drain through one worker pool.
-
-Since the stage-graph pipeline (:mod:`repro.campaign.pipeline`), scenario
-*preparation* is pooled work too: :class:`CampaignRunner` builds one
-multi-scenario stage DAG (scan prep -> TPI -> STUMPS/session -> fault-sim
-fan-out -> signature fan-out -> report) and drains it through one
+:class:`CampaignRunner` turns many (core, :class:`LogicBistConfig`)
+scenario pairs into one multi-scenario stage DAG -- scan prep -> TPI ->
+STUMPS/session -> fault-scan shard fan-out -> signature fan-out ->
+report, plus the optional top-up and at-speed branches -- built by
+:func:`~repro.campaign.pipeline.scenario_stage_nodes`.  With
+``num_workers >= 2`` the whole DAG drains through one
 :class:`~repro.campaign.scheduler.PooledScheduler`, so scenario B's TPI
-profiling -- itself a full fault simulation under ``tpi_method="fault_sim"``
--- runs while scenario A's shards are still in flight.  With
-``num_workers <= 1`` the same DAG executes on the in-process
+profiling -- itself a full fault simulation under
+``tpi_method="fault_sim"`` -- runs while scenario A's shards are still in
+flight.  With ``num_workers <= 1`` the same DAG executes on the in-process
 :class:`~repro.campaign.scheduler.SerialScheduler`, the deterministic
 fallback and the bit-exactness oracle.
 
-Results come back as per-fault first-detection indices and are min-merged by
-:mod:`repro.campaign.results` -- a reduction that is independent of shard
-order and worker count, which is what makes the merged coverage curves,
-detection records and MISR signatures **bit-identical** to the serial
-compiled-kernel path (``tests/campaign`` asserts the equivalence across
-shard counts, block sizes, permuted shard assignments, worker counts and
+Shard outcomes come back as per-fault first-detection indices and are
+min-merged by :mod:`repro.campaign.results` -- a reduction independent of
+shard order and worker count, which is what makes the merged coverage
+curves, detection records and MISR signatures **bit-identical** to the
+serial compiled-kernel path (``tests/campaign`` asserts the equivalence
+across shard counts, block sizes, permuted shard orders, worker counts and
 both execution backends).
-
-The flat shard-task entry points of PR 2 (:func:`run_sharded_fault_sim`,
-:func:`run_sharded_transition_sim`, :func:`execute_tasks`) remain for
-single-phase fan-out and benchmarking; the pipeline reuses their task
-records and worker-side execution verbatim.
 """
 
 from __future__ import annotations
 
-import itertools
-import os
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Optional
 
-from ..bist.stumps import StumpsDomain
 from ..core.config import LogicBistConfig
-from ..faults.fault_list import FaultList
-from ..faults.fault_sim import FaultSimShardState, FaultSimulationResult
-from ..faults.models import StuckAtFault, TransitionFault
-from ..faults.transition_sim import (
-    TransitionSimShardState,
-    TransitionSimulationResult,
-)
 from ..netlist.circuit import Circuit
 from ..netlist.library import CellLibrary
-from ..simulation.packed import DEFAULT_BLOCK_SIZE, PatternBlock, iter_blocks
-from ..util.cache import CacheStats, KeyedLruCache
+from .pipeline import (
+    release_scenario_engines,
+    scenario_stage_nodes,
+    unique_scenario_key,
+)
 from .results import (
+    FAILURES_KEY,
     CampaignResult,
     ScenarioResult,
-    ShardOutcome,
-    SignatureOutcome,
-    build_simulation_result,
-    merge_first_detections,
+    canonical_failure,
+    sort_failures,
 )
-from .scheduler import make_pool_context
-from .sharding import fault_site_keys, plan_grid
-
-#: Blocks may be given bare or as (global pattern offset, block) pairs.
-OffsetBlocks = Sequence[Union[PatternBlock, tuple[int, PatternBlock]]]
-
-
-# --------------------------------------------------------------------- #
-# Shard payloads and task records (everything here must pickle cleanly)
-# --------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class ShardPayload:
-    """One scenario's shared shard inputs.
-
-    ``state`` is the pickleable compiled-kernel shard state (circuit,
-    observation nets, canonical fault ordering); ``blocks`` is the full
-    ordered stream the tasks index into -- ``(offset, PatternBlock)`` pairs
-    for stuck-at campaigns, ``(offset, launch, capture)`` triples for
-    transition campaigns.
-    """
-
-    state: Union[FaultSimShardState, TransitionSimShardState]
-    blocks: tuple
-
-
-@dataclass(frozen=True)
-class FaultShardTask:
-    """One stuck-at shard: fault indices scanned over a block-index run."""
-
-    scenario_key: str
-    shard_id: int
-    fault_indices: tuple[int, ...]
-    block_indices: tuple[int, ...]
-
-    #: Engine kind the worker builds/caches for this task.
-    kind = "stuck"
-
-
-@dataclass(frozen=True)
-class TransitionShardTask:
-    """One transition shard over aligned (launch, capture) block pairs."""
-
-    scenario_key: str
-    shard_id: int
-    fault_indices: tuple[int, ...]
-    block_indices: tuple[int, ...]
-
-    kind = "transition"
-
-
-@dataclass(frozen=True)
-class SignatureShardTask:
-    """One clock domain's MISR fold over its filtered response stream.
-
-    Self-contained (no payload lookup): there is exactly one task per
-    domain, so embedding the domain and its responses *is* the
-    once-per-worker form.
-    """
-
-    scenario_key: str
-    domain: str
-    stumps_domain: StumpsDomain
-    responses: tuple[dict[str, int], ...]
-    #: Execution backend for the fold ("python" or "numpy").
-    sim_backend: str = "python"
-
-
-ShardTask = Union[FaultShardTask, TransitionShardTask, SignatureShardTask]
-
-#: Per-process payload registry, seeded by the pool initializer (workers) or
-#: by ``execute_tasks`` itself (in-process path).
-_PAYLOADS: dict[str, ShardPayload] = {}
-
-#: Default capacity of the per-process compiled-engine LRU.  An engine holds
-#: a compiled kernel plus its lazily-built fanout-cone plans, which for a
-#: large core is tens of megabytes -- a long many-scenario campaign must not
-#: accumulate one per scenario forever.
-DEFAULT_ENGINE_CACHE_SIZE = 8
-
-
-# CacheStats / KeyedLruCache live in ``repro.util.cache`` (the numpy
-# backend's workspace cache needs them below the campaign layer in the
-# import graph); imported above and re-exported here so existing
-# ``campaign.runner`` imports keep resolving.
-
-
-class EngineCache(KeyedLruCache):
-    """Small per-process LRU of compiled shard engines.
-
-    Keyed by ``(scenario key, engine kind)``.  Fork/spawn children start
-    empty; tasks of the same scenario landing on the same worker recompile
-    nothing, while scenarios beyond ``maxsize`` evict least-recently-used
-    engines instead of growing without bound across a long campaign
-    (eviction only ever costs a recompile -- results are unaffected).
-    """
-
-    def __init__(self, maxsize: int = DEFAULT_ENGINE_CACHE_SIZE) -> None:
-        super().__init__(maxsize)
-
-    def get_or_build(self, scenario_key: str, kind: str, state) -> object:
-        """The cached engine for ``(scenario_key, kind)``, building on miss."""
-        return super().get_or_build((scenario_key, kind), state.build_simulator)
-
-    def discard_scenario(self, scenario_key: str) -> None:
-        """Drop every engine kind cached for ``scenario_key``."""
-        for kind in ("stuck", "transition"):
-            self.discard((scenario_key, kind))
-
-
-#: Per-process engine LRU (see :class:`EngineCache`).
-_ENGINE_CACHE = EngineCache()
-
-#: Monotonic nonce making every campaign invocation's scenario keys unique, so
-#: a cached engine or payload can never be confused across calls (two
-#: campaigns may reuse the same human-readable scenario name).
-_KEY_COUNTER = itertools.count()
-
-
-def _unique_key(prefix: str) -> str:
-    return f"{prefix}@{os.getpid()}.{next(_KEY_COUNTER)}"
-
-
-def _seed_payloads(payloads: dict[str, ShardPayload]) -> None:
-    """Pool-worker initializer: receive every scenario's payload exactly once."""
-    _PAYLOADS.update(payloads)
-
-
-def run_shard_task(
-    task: Union[FaultShardTask, TransitionShardTask], payload: ShardPayload
-) -> ShardOutcome:
-    """Run one fault/transition shard scan against its payload.
-
-    The single worker-side execution path shared by the flat task runner
-    (:func:`execute_tasks`) and the pipeline's shard stages: builds (or
-    reuses, via the per-process :class:`EngineCache`) the compiled engine
-    for the task's scenario and scans the task's fault indices over its
-    block run.
-    """
-    # The timer covers engine construction too: a worker's first task of a
-    # scenario really pays kernel compilation, and the recorded per-shard
-    # seconds must reflect that full cost.
-    start = time.perf_counter()
-    engine = _ENGINE_CACHE.get_or_build(task.scenario_key, task.kind, payload.state)
-    # The stuck-at engine counts its own gate evaluations; the transition
-    # engine delegates them to its embedded stuck-at observability engine.
-    counter = engine if task.kind == "stuck" else engine.stuck_engine
-    faults = [payload.state.faults[index] for index in task.fault_indices]
-    blocks = [payload.blocks[index] for index in task.block_indices]
-    evals_before = counter.gate_evals
-    found = engine.first_detections(faults, blocks)
-    seconds = time.perf_counter() - start
-    index_of = {payload.state.faults[index]: index for index in task.fault_indices}
-    return ShardOutcome(
-        scenario_key=task.scenario_key,
-        shard_id=task.shard_id,
-        first_detections={
-            index_of[fault]: pattern for fault, pattern in found.items()
-        },
-        gate_evals=counter.gate_evals - evals_before,
-        seconds=seconds,
-    )
-
-
-def _execute_task(task: ShardTask):
-    """Run one shard task (in a worker process or in-process)."""
-    if isinstance(task, SignatureShardTask):
-        signature = task.stumps_domain.fold_responses(
-            task.responses, backend=task.sim_backend
-        )
-        return SignatureOutcome(task.scenario_key, task.domain, signature)
-    return run_shard_task(task, _PAYLOADS[task.scenario_key])
-
-
-def execute_tasks(
-    tasks: Sequence[ShardTask],
-    payloads: Optional[Mapping[str, ShardPayload]] = None,
-    num_workers: int = 1,
-    mp_context=None,
-) -> list:
-    """Run shard tasks, in-process (``num_workers <= 1``) or on a worker pool.
-
-    ``payloads`` maps scenario keys to the shared inputs the fault/transition
-    tasks index into (signature tasks are self-contained).  On the pool path
-    the payload dict is serialized once per worker via the pool initializer;
-    tasks themselves carry only index tuples.
-
-    Task outcomes are returned in task order, but nothing downstream depends
-    on it: the merge reductions are order-independent by construction.
-    """
-    tasks = list(tasks)
-    if not tasks:
-        return []
-    payloads = dict(payloads or {})
-    if num_workers <= 1:
-        _PAYLOADS.update(payloads)
-        try:
-            return [_execute_task(task) for task in tasks]
-        finally:
-            # Payloads and engines only exist to be shared between tasks of
-            # this call; scenario keys are unique per invocation, so entries
-            # would otherwise accumulate until the LRU evicts them.
-            for key in payloads:
-                _PAYLOADS.pop(key, None)
-                _ENGINE_CACHE.discard_scenario(key)
-    ctx = make_pool_context(mp_context)
-    with ctx.Pool(
-        processes=min(num_workers, len(tasks)),
-        initializer=_seed_payloads,
-        initargs=(payloads,),
-    ) as pool:
-        return pool.map(_execute_task, tasks, chunksize=1)
-
-
-# --------------------------------------------------------------------- #
-# Shard planning helpers
-# --------------------------------------------------------------------- #
-#: Backwards-compatible alias -- the site-key planner moved to
-#: :func:`repro.campaign.sharding.fault_site_keys` so the top-up PODEM
-#: fan-out (and future planners) can share it without importing the runner.
-_site_keys = fault_site_keys
-
-
-def plan_shard_tasks(
-    task_cls,
-    scenario_key: str,
-    circuit: Circuit,
-    faults: Sequence[object],
-    num_blocks: int,
-    fault_shards: int,
-    pattern_shards: int,
-) -> list[ShardTask]:
-    """The one task-construction path shared by every campaign entry point."""
-    return [
-        task_cls(
-            scenario_key=scenario_key,
-            shard_id=shard_id,
-            fault_indices=fault_group,
-            block_indices=block_group,
-        )
-        for shard_id, (fault_group, block_group) in enumerate(
-            plan_grid(
-                len(faults),
-                num_blocks,
-                fault_shards,
-                pattern_shards,
-                fault_keys=fault_site_keys(circuit, faults),
-            )
-        )
-    ]
-
-
-def with_offsets(
-    blocks: OffsetBlocks, pattern_offset: int
-) -> list[tuple[int, PatternBlock]]:
-    """Normalise a block stream to contiguous (global offset, block) pairs."""
-    result: list[tuple[int, PatternBlock]] = []
-    cursor = pattern_offset
-    for entry in blocks:
-        if isinstance(entry, tuple):
-            offset, block = entry
-            if offset != cursor:
-                raise ValueError(
-                    f"non-contiguous block stream: expected offset {cursor}, got {offset}"
-                )
-        else:
-            block = entry
-        result.append((cursor, block))
-        cursor += block.num_patterns
-    return result
-
-
-def build_pair_blocks(
-    circuit: Circuit,
-    launch_patterns: Sequence[Mapping[str, int]],
-    capture_patterns: Sequence[Mapping[str, int]],
-    block_size: int,
-    pattern_offset: int = 0,
-) -> tuple[tuple[int, PatternBlock, PatternBlock], ...]:
-    """Pack aligned launch/capture lists into (offset, launch, capture) triples.
-
-    The one assembly path for transition-fault fan-out, shared by
-    :func:`run_sharded_transition_sim` and the pipeline's
-    :class:`~repro.campaign.pipeline.TransitionPrepStage`.
-    """
-    stimulus_nets = circuit.stimulus_nets()
-    launch_blocks = iter_blocks(
-        launch_patterns, block_size=block_size, nets=stimulus_nets
-    )
-    capture_blocks = iter_blocks(
-        capture_patterns, block_size=block_size, nets=stimulus_nets
-    )
-    pair_blocks: list[tuple[int, PatternBlock, PatternBlock]] = []
-    cursor = pattern_offset
-    for launch_block, capture_block in zip(launch_blocks, capture_blocks):
-        pair_blocks.append((cursor, launch_block, capture_block))
-        cursor += launch_block.num_patterns
-    return tuple(pair_blocks)
-
-
-def _boundaries(offset_blocks: Sequence[tuple[int, PatternBlock]]) -> list[int]:
-    """Cumulative pattern counts after each block (serial curve sample points)."""
-    boundaries: list[int] = []
-    cumulative = 0
-    for _, block in offset_blocks:
-        cumulative += block.num_patterns
-        boundaries.append(cumulative)
-    return boundaries
-
-
-# --------------------------------------------------------------------- #
-# Drop-in sharded fault simulation (single-phase fan-out)
-# --------------------------------------------------------------------- #
-def run_sharded_fault_sim(
-    circuit: Circuit,
-    fault_list: FaultList,
-    blocks: OffsetBlocks,
-    observe_nets: Optional[Sequence[str]] = None,
-    num_workers: int = 1,
-    fault_shards: Optional[int] = None,
-    pattern_shards: int = 1,
-    pattern_offset: int = 0,
-    mp_context=None,
-    scenario_key: str = "fault-sim",
-    sim_backend: str = "python",
-    sim_memory_budget_mb: Optional[float] = None,
-) -> FaultSimulationResult:
-    """Sharded drop-in for :meth:`FaultSimulator.simulate_blocks`.
-
-    Shards the undetected stuck-at faults of ``fault_list`` (site-local
-    round-robin) and optionally the pattern blocks (contiguous runs) across
-    ``num_workers`` processes, then min-merges the per-shard first
-    detections.  The returned :class:`FaultSimulationResult` -- statuses,
-    first-detection indices, coverage curve, per-pattern detection credits
-    -- is bit-identical to the serial engine's (fault dropping enabled).
-    ``sim_backend`` selects the execution backend every shard worker
-    compiles ("python" or "numpy"); merged results are backend-invariant.
-    ``sim_memory_budget_mb`` bounds each worker's peak numpy fault-scan
-    memory (carried in the shard states, so it survives pickling into the
-    pool); results are budget-invariant.
-    """
-    scenario_key = _unique_key(scenario_key)
-    offset_blocks = with_offsets(blocks, pattern_offset)
-    faults = tuple(
-        fault for fault in fault_list.undetected() if isinstance(fault, StuckAtFault)
-    )
-    if fault_shards is None:
-        fault_shards = max(1, num_workers)
-    state = FaultSimShardState(
-        circuit=circuit,
-        observe_nets=tuple(
-            observe_nets if observe_nets is not None else circuit.observation_nets()
-        ),
-        faults=faults,
-        sim_backend=sim_backend,
-        sim_memory_budget_mb=sim_memory_budget_mb,
-    )
-    tasks = plan_shard_tasks(
-        FaultShardTask,
-        scenario_key,
-        circuit,
-        faults,
-        len(offset_blocks),
-        fault_shards,
-        pattern_shards,
-    )
-    outcomes = execute_tasks(
-        tasks,
-        payloads={scenario_key: ShardPayload(state, tuple(offset_blocks))},
-        num_workers=num_workers,
-        mp_context=mp_context,
-    )
-    merged = merge_first_detections(outcomes)
-    result = build_simulation_result(
-        fault_list,
-        faults,
-        merged,
-        _boundaries(offset_blocks),
-        pattern_offset=pattern_offset,
-    )
-    return result
-
-
-def run_sharded_transition_sim(
-    circuit: Circuit,
-    fault_list: FaultList,
-    launch_patterns: Sequence[Mapping[str, int]],
-    capture_patterns: Sequence[Mapping[str, int]],
-    observe_nets: Optional[Sequence[str]] = None,
-    block_size: int = DEFAULT_BLOCK_SIZE,
-    num_workers: int = 1,
-    fault_shards: Optional[int] = None,
-    pattern_shards: int = 1,
-    pattern_offset: int = 0,
-    mp_context=None,
-    scenario_key: str = "transition-sim",
-    sim_backend: str = "python",
-    sim_memory_budget_mb: Optional[float] = None,
-) -> TransitionSimulationResult:
-    """Sharded drop-in for :meth:`TransitionFaultSimulator.simulate_pairs`."""
-    if len(launch_patterns) != len(capture_patterns):
-        raise ValueError("launch and capture pattern lists must have equal length")
-    scenario_key = _unique_key(scenario_key)
-    pair_blocks = build_pair_blocks(
-        circuit, launch_patterns, capture_patterns, block_size, pattern_offset
-    )
-    faults = tuple(
-        fault for fault in fault_list.undetected() if isinstance(fault, TransitionFault)
-    )
-    if fault_shards is None:
-        fault_shards = max(1, num_workers)
-    state = TransitionSimShardState(
-        circuit=circuit,
-        observe_nets=tuple(
-            observe_nets if observe_nets is not None else circuit.observation_nets()
-        ),
-        faults=faults,
-        sim_backend=sim_backend,
-        sim_memory_budget_mb=sim_memory_budget_mb,
-    )
-    tasks = plan_shard_tasks(
-        TransitionShardTask,
-        scenario_key,
-        circuit,
-        faults,
-        len(pair_blocks),
-        fault_shards,
-        pattern_shards,
-    )
-    outcomes = execute_tasks(
-        tasks,
-        payloads={scenario_key: ShardPayload(state, tuple(pair_blocks))},
-        num_workers=num_workers,
-        mp_context=mp_context,
-    )
-    merged = merge_first_detections(outcomes)
-    boundaries = _boundaries([(offset, launch) for offset, launch, _ in pair_blocks])
-    sim_result = build_simulation_result(
-        fault_list, faults, merged, boundaries, pattern_offset=pattern_offset
-    )
-    return TransitionSimulationResult(
-        fault_list,
-        pairs_simulated=len(launch_patterns),
-        coverage_curve=sim_result.coverage_curve,
-    )
+from .scheduler import PooledScheduler, SerialScheduler
 
 
 # --------------------------------------------------------------------- #
@@ -601,8 +135,8 @@ class CampaignRunner:
         Scenarios whose config sets ``campaign_topup=True`` additionally run
         the deterministic ATPG top-up phase: PODEM target shards fan out
         through the same pool as everything else (site-local keyed
-        round-robin, the PR-2 partitioning), and a deterministic screen /
-        compact replay merges the cubes -- the scenario's reported coverage
+        round-robin, as the fault scans shard), and a deterministic screen
+        / compact replay merges the cubes -- the scenario's reported coverage
         and first detections then include the top-up patterns (indices >=
         :data:`repro.atpg.topup.TOPUP_PATTERN_BASE`), byte-identical to the
         serial walk at any worker count.
@@ -614,10 +148,6 @@ class CampaignRunner:
         sharded through the same pool and byte-identical to the serial walk
         at any worker/shard count.
         """
-        from .pipeline import release_scenario_engines, scenario_stage_nodes
-        from .results import FAILURES_KEY, canonical_failure, sort_failures
-        from .scheduler import PooledScheduler, SerialScheduler
-
         start = time.perf_counter()
         scenarios = list(scenarios)
         names = [scenario.name for scenario in scenarios]
@@ -636,7 +166,7 @@ class CampaignRunner:
         scenario_keys: list[str] = []
         report_keys: dict[str, str] = {}
         for index, scenario in enumerate(scenarios):
-            key = _unique_key(f"s{index}:{scenario.name}")
+            key = unique_scenario_key(f"s{index}:{scenario.name}")
             scenario_keys.append(key)
             scenario_nodes, artifact_keys = scenario_stage_nodes(
                 key,

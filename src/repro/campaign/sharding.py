@@ -15,15 +15,16 @@ A campaign splits work along two orthogonal axes:
 
 Both partitions are pure functions of ``(item count, shard count)`` -- no
 RNG, no dependence on worker identity -- which is what makes merged campaign
-results independent of shard order and worker count.  The planner returns
-plain tuples of indices; the runner materialises the actual
-:class:`~repro.campaign.runner.FaultShardTask` objects from them.
+results independent of shard order and worker count.  The planners return
+plain tuples of indices; :func:`~repro.campaign.pipeline.plan_shard_tasks`
+materialises the :class:`~repro.campaign.pipeline.ShardTask` records from
+them.
 
-In the stage-graph pipeline these planners are the **fan-out rule** of
-:class:`~repro.campaign.pipeline.FaultSimStage` /
-:class:`~repro.campaign.pipeline.TransitionStage`: once a scenario's fault
-list and block stream exist, the stage expands into exactly the grid planned
-here -- one shard node per cell plus an order-independent merge node.
+These planners are the **fan-out rule** of the stage graph's
+:class:`~repro.campaign.pipeline.ShardFanOutStage` (the stuck-at random
+phase and the transition measurement alike): once a scan's fault list and
+block stream exist, the stage expands into exactly the grid planned here --
+one shard node per cell plus an order-independent merge node.
 
 Shard planning is memory-budget-oblivious by design: a
 ``sim_memory_budget_mb`` ceiling travels inside the shard *states*
@@ -38,7 +39,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 
-def fault_site_keys(circuit, faults: Sequence[object]) -> list[str]:
+def fault_site_nets(circuit, faults: Sequence[object]) -> list[str]:
     """Resolved fault-site net per fault (the shard-locality key).
 
     Stem and combinational input-branch faults of a gate share the gate's

@@ -11,8 +11,8 @@ from typing import Mapping, Optional
 from ..scan.insertion import ScanInsertionConfig
 from ..simulation.packed import DEFAULT_BLOCK_SIZE
 
-#: The per-invocation nonce :func:`repro.campaign.runner._unique_key` embeds
-#: in campaign stage keys (``@<pid>.<counter>``).  Resilience machinery that
+#: The per-invocation nonce :func:`repro.campaign.pipeline.unique_scenario_key`
+#: embeds in campaign and flow stage keys (``@<pid>.<counter>``).  Resilience machinery that
 #: must be deterministic *across* runs -- retry jitter, chaos injection
 #: plans, canonical failure records -- strips it first.
 _STAGE_KEY_NONCE = re.compile(r"@\d+\.\d+")
@@ -259,25 +259,16 @@ class LogicBistConfig:
     sim_memory_budget_mb: Optional[float] = None
 
     # ------------------------------------------------------------------ #
-    # Sharded campaign execution
+    # Pooled execution
     # ------------------------------------------------------------------ #
-    #: Worker processes for the random-phase fault simulation.  0 or 1 keeps
-    #: the serial compiled-kernel path (the default and the bit-exactness
-    #: oracle); >= 2 fans the collapsed fault list out across
-    #: ``multiprocessing`` workers via :mod:`repro.campaign` -- results are
-    #: bit-identical to the serial path by construction (and by test).
-    campaign_workers: int = 0
-    #: Fault shards for the campaign path (None = one shard per worker).
-    campaign_fault_shards: Optional[int] = None
     #: Worker processes draining the flow's *stage graph* (scan prep, TPI
     #: profiling, STUMPS/session assembly, fault-sim shards, signature
     #: derivation + folds, top-up, transition measurement).  0 or 1 walks
     #: the graph serially in-process (the default and the bit-exactness
     #: oracle); >= 2 drains the same graph through a
     #: :class:`~repro.campaign.scheduler.PooledScheduler` pool, so scenario
-    #: *preparation* becomes pooled work alongside the shard scans.  The
-    #: flow uses ``max(pipeline_workers, campaign_workers)`` as its pool
-    #: width, keeping the PR-2 knob working unchanged; results are
+    #: *preparation* becomes pooled work alongside the shard scans, and the
+    #: fault scans split into that many fault shards.  Results are
     #: bit-identical to the serial walk by construction (and by test).
     #: :class:`~repro.campaign.runner.CampaignRunner` manages its own pool
     #: and ignores this field.

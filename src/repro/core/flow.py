@@ -64,7 +64,7 @@ class PhaseTiming:
 
     Summed over the phase's pipeline stages: on the default serial walk this
     *is* the phase's wall-clock, exactly as before; on a pooled run
-    (``pipeline_workers``/``campaign_workers`` >= 2) it sums concurrent
+    (``pipeline_workers`` >= 2) it sums concurrent
     workers' compute, so the five entries can total more than
     ``LogicBistResult.cpu_time_seconds`` (which stays end-to-end wall).
     """
@@ -308,10 +308,10 @@ class LogicBistFlow:
     shard fan-out, per-domain MISR signature folds, top-up ATPG, optional
     transition measurement -- into stage nodes and executes them on the
     in-process :class:`~repro.campaign.scheduler.SerialScheduler` (the
-    bit-exactness oracle).  With ``pipeline_workers >= 2`` (or the PR-2
-    ``campaign_workers`` knob) the *same* graph drains through a
-    :class:`~repro.campaign.scheduler.PooledScheduler` worker pool instead:
-    one code path, two schedulers.
+    bit-exactness oracle).  With ``pipeline_workers >= 2`` the *same* graph
+    drains through a :class:`~repro.campaign.scheduler.PooledScheduler`
+    worker pool instead, with one fault shard per worker: one code path,
+    two schedulers.
 
     Note: the signature folds operate on per-domain copies (as the campaign
     always did), so ``result.stumps`` no longer carries post-fold MISR state
@@ -343,11 +343,8 @@ class LogicBistFlow:
         config = self.config
         flow_start = time.perf_counter()
 
-        workers = max(config.pipeline_workers, config.campaign_workers)
-        if config.campaign_fault_shards is not None:
-            fault_shards = config.campaign_fault_shards
-        else:
-            fault_shards = workers if workers >= 2 else 1
+        workers = config.pipeline_workers
+        fault_shards = workers if workers >= 2 else 1
         scenario_key = unique_scenario_key(f"flow:{core_name or circuit.name}")
         nodes, keys = scenario_stage_nodes(
             scenario_key,

@@ -174,6 +174,18 @@ class Circuit:
         """Structural revision counter (see ``_revision``)."""
         return self._revision
 
+    def __getstate__(self) -> dict:
+        """Pickle/copy state: the netlist alone.
+
+        :func:`~repro.simulation.kernel.shared_kernel` parks this circuit's
+        compiled kernel in ``_shared_kernel``; a compilation is per-process
+        and never travels with the netlist, so shard payloads pickle exactly
+        the bytes they would without it.
+        """
+        state = self.__dict__.copy()
+        state.pop("_shared_kernel", None)
+        return state
+
     # ------------------------------------------------------------------ #
     # Queries
     # ------------------------------------------------------------------ #

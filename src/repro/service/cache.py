@@ -2,7 +2,7 @@
 
 The per-process caches below the campaign layer (``shared_kernel`` keyed by
 circuit identity + ``Circuit.revision``; the worker-side
-:class:`~repro.campaign.runner.EngineCache` LRU) already stop recompiles
+:class:`~repro.campaign.pipeline.EngineCache` LRU) already stop recompiles
 *within* one campaign.  What they cannot do is help the *next* request:
 scan insertion copies the submitted circuit, so two jobs over the same core
 prepare -- and compile -- two structurally identical circuits from scratch.
@@ -17,8 +17,8 @@ graph, which means the *same prepared circuit object* flows into the
 random/top-up/at-speed phases; ``shared_kernel`` then hits by identity, so
 the compiled kernel **and** every memoised ``analysis_cache`` entry
 (ATPG adjacency, SCOAP guidance) are reused across requests.  Pinning the
-outcome in the LRU is what keeps the kernel's weak cache entry alive
-between jobs.
+outcome in the LRU is what keeps the prepared circuit -- and with it the
+kernel cached on it -- alive between jobs.
 
 Correctness story: preparation is deterministic, preloading it skips stages
 that would have produced equal artifacts, and the prepared objects are not
@@ -33,7 +33,7 @@ from __future__ import annotations
 import weakref
 from typing import Optional
 
-from ..campaign.runner import KeyedLruCache
+from ..util.cache import KeyedLruCache
 from ..core.config import LogicBistConfig
 from ..netlist.circuit import Circuit
 

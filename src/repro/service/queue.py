@@ -801,7 +801,7 @@ class CampaignService:
         Counters and cache statistics are monotone; ``engine_cache`` reports
         the parent process's shard-engine LRU (pool workers hold their own).
         """
-        from ..campaign.runner import _ENGINE_CACHE
+        from ..campaign.pipeline import _ENGINE_CACHE
 
         return {
             "queued": self._queue.qsize() if self._queue is not None else 0,

@@ -33,10 +33,10 @@ disagree about circuit structure.
 
 Kernels are expensive to build (interning plus, lazily, one fanout-cone plan
 per fault site), and the flow plus ATPG top-up routinely simulate the same
-circuit back to back.  :func:`shared_kernel` therefore keeps a per-process
-cache keyed by ``(circuit identity, structural revision)`` -- the in-process
-mirror of the campaign runner's per-worker engine cache -- so cone plans are
-compiled at most once per circuit revision per process.
+circuit back to back.  :func:`shared_kernel` therefore caches each
+circuit's kernel on the circuit itself, keyed by structural revision -- the
+in-process mirror of the campaign's per-worker engine cache -- so cone plans
+are compiled at most once per circuit revision per process.
 
 The kernel knows nothing about net names beyond the interning tables; the
 name-keyed public API lives in the adapter layer
@@ -45,7 +45,6 @@ name-keyed public API lives in the adapter layer
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -326,15 +325,6 @@ class CompiledKernel:
 # --------------------------------------------------------------------------- #
 # Per-process shared-kernel cache
 # --------------------------------------------------------------------------- #
-#: Circuit -> (structural revision at compile time, compiled kernel).  The
-#: weak keys let circuits (and with them their kernels and cone plans) be
-#: garbage-collected normally; a mutated circuit misses on the revision and
-#: is recompiled.
-_SHARED_KERNELS: "weakref.WeakKeyDictionary[Circuit, tuple[int, CompiledKernel]]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
 def shared_kernel(circuit: Circuit) -> CompiledKernel:
     """The per-process compiled kernel for ``circuit`` (compile-once cache).
 
@@ -345,15 +335,21 @@ def shared_kernel(circuit: Circuit) -> CompiledKernel:
     while any netlist mutation (test-point insertion, scan stitching)
     transparently forces a fresh compile.
 
+    The ``(revision, kernel)`` entry lives on the circuit itself
+    (``Circuit._shared_kernel``), so it dies with the circuit: the kernel
+    refers back to its circuit, and a cache held anywhere else would keep
+    every simulated circuit alive for the life of the process.  The entry
+    never travels with the netlist (see :meth:`Circuit.__getstate__`).
+
     Sharing is safe because the kernel itself is immutable apart from three
     single-threaded caches: the cone-plan dict and the analysis cache (both
     append-only) and the scratch table, whose contract already requires
     callers to consume results before the next kernel call.
     """
-    cached = _SHARED_KERNELS.get(circuit)
+    cached = circuit.__dict__.get("_shared_kernel")
     revision = circuit.revision
     if cached is not None and cached[0] == revision:
         return cached[1]
     kernel = CompiledKernel(circuit)
-    _SHARED_KERNELS[circuit] = (revision, kernel)
+    circuit._shared_kernel = (revision, kernel)
     return kernel

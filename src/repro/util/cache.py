@@ -1,12 +1,11 @@
 """The counted LRU shared by every engine/kernel/workspace cache.
 
-:class:`KeyedLruCache` started life in :mod:`repro.campaign.runner` as the
-generic core of the worker-side ``EngineCache`` and the service tier's
-``ScenarioPrepCache``.  It now also bounds the numpy backend's per-width
-scan workspaces (a full bit-plane table per block width -- see
-``FaultScanKernel``), which sits *below* the campaign layer in the import
-graph, so the class lives here in the dependency-free utility package.
-``repro.campaign.runner`` re-exports both names for compatibility.
+:class:`KeyedLruCache` is the generic core of the campaign's worker-side
+``EngineCache`` and the service tier's ``ScenarioPrepCache``.  It also
+bounds the numpy backend's per-width scan workspaces (a full bit-plane
+table per block width -- see ``FaultScanKernel``), which sits *below* the
+campaign layer in the import graph, so the class lives here in the
+dependency-free utility package.
 """
 
 from __future__ import annotations

@@ -7,8 +7,9 @@ detection statuses, first-detection indices, coverage curves (including
 their floating-point values), per-pattern detection credits, and per-domain
 MISR signatures.  This suite fuzzes random circuits from
 :mod:`repro.cores.generator` across shard counts {1, 2, 4, 7} x block sizes
-{64, 256} and asserts exactly that, plus the multiprocessing pool path and
-the flow integration (``LogicBistConfig.campaign_workers``).
+{64, 256} and asserts exactly that -- driving the production shard fan-out
+stages (``shard_harness``) on the serial scheduler and on real worker pools
+-- plus the flow integration (``LogicBistConfig.pipeline_workers``).
 """
 
 import random
@@ -16,12 +17,7 @@ import random
 import pytest
 
 from repro.bist import StumpsArchitecture
-from repro.campaign import (
-    CampaignRunner,
-    CampaignScenario,
-    run_sharded_fault_sim,
-    run_sharded_transition_sim,
-)
+from repro.campaign import CampaignRunner, CampaignScenario
 from repro.core import LogicBistConfig, LogicBistFlow
 from repro.cores.generator import SyntheticCoreConfig, generate_synthetic_core
 from repro.faults import (
@@ -33,6 +29,8 @@ from repro.faults import (
 )
 from repro.scan import build_scan_chains
 from repro.simulation import iter_blocks
+
+from shard_harness import sharded_fault_sim, sharded_transition_sim
 
 SHARD_COUNTS = (1, 2, 4, 7)
 BLOCK_SIZES = (64, 256)
@@ -92,7 +90,7 @@ class TestShardedFaultSimEquivalence:
         ref_list, ref_result, blocks = serial_reference(circuit, patterns, block_size)
 
         fault_list = collapse_stuck_at(circuit).to_fault_list()
-        result = run_sharded_fault_sim(
+        result = sharded_fault_sim(
             circuit, fault_list, blocks, fault_shards=fault_shards
         )
         assert result.patterns_simulated == ref_result.patterns_simulated
@@ -110,7 +108,7 @@ class TestShardedFaultSimEquivalence:
         for fault_shards in SHARD_COUNTS:
             for pattern_shards in (1, 2):
                 fault_list = collapse_stuck_at(circuit).to_fault_list()
-                result = run_sharded_fault_sim(
+                result = sharded_fault_sim(
                     circuit,
                     fault_list,
                     blocks,
@@ -128,27 +126,9 @@ class TestShardedFaultSimEquivalence:
         patterns = random_patterns(circuit, 128, 9)
         ref_list, _, blocks = serial_reference(circuit, patterns, 32)
         fault_list = collapse_stuck_at(circuit).to_fault_list()
-        run_sharded_fault_sim(
+        sharded_fault_sim(
             circuit, fault_list, blocks, fault_shards=1, pattern_shards=4
         )
-        assert_fault_lists_identical(ref_list, fault_list)
-
-    def test_pattern_offset_respected(self):
-        circuit = make_core(5)
-        patterns = random_patterns(circuit, 96, 17)
-        blocks = list(
-            iter_blocks(patterns, block_size=64, nets=circuit.stimulus_nets())
-        )
-        ref_list = collapse_stuck_at(circuit).to_fault_list()
-        ref_result = FaultSimulator(circuit).simulate_blocks(
-            ref_list, blocks, pattern_offset=1000
-        )
-        fault_list = collapse_stuck_at(circuit).to_fault_list()
-        result = run_sharded_fault_sim(
-            circuit, fault_list, blocks, fault_shards=3, pattern_offset=1000
-        )
-        assert result.coverage_curve == ref_result.coverage_curve
-        assert result.detections_per_pattern == ref_result.detections_per_pattern
         assert_fault_lists_identical(ref_list, fault_list)
 
 
@@ -168,7 +148,7 @@ class TestNumpyBackendCampaign:
         patterns = random_patterns(circuit, 3 * block_size + 29, 5)
         ref_list, ref_result, blocks = serial_reference(circuit, patterns, block_size)
         fault_list = collapse_stuck_at(circuit).to_fault_list()
-        result = run_sharded_fault_sim(
+        result = sharded_fault_sim(
             circuit,
             fault_list,
             blocks,
@@ -189,7 +169,7 @@ class TestNumpyBackendCampaign:
             ref_list, launch, capture, block_size=64
         )
         fault_list = FaultList.transition(circuit)
-        run_sharded_transition_sim(
+        sharded_transition_sim(
             circuit,
             fault_list,
             launch,
@@ -209,7 +189,7 @@ class TestNumpyBackendCampaign:
         patterns = random_patterns(circuit, 221, 5)
         ref_list, ref_result, blocks = serial_reference(circuit, patterns, 64)
         fault_list = collapse_stuck_at(circuit).to_fault_list()
-        result = run_sharded_fault_sim(
+        result = sharded_fault_sim(
             circuit,
             fault_list,
             blocks,
@@ -231,7 +211,7 @@ class TestNumpyBackendCampaign:
             ref_list, launch, capture, block_size=64
         )
         fault_list = FaultList.transition(circuit)
-        run_sharded_transition_sim(
+        sharded_transition_sim(
             circuit,
             fault_list,
             launch,
@@ -298,7 +278,7 @@ class TestMultiprocessPool:
         patterns = random_patterns(circuit, 130, 3)
         ref_list, ref_result, blocks = serial_reference(circuit, patterns, 64)
         fault_list = collapse_stuck_at(circuit).to_fault_list()
-        result = run_sharded_fault_sim(
+        result = sharded_fault_sim(
             circuit,
             fault_list,
             blocks,
@@ -317,7 +297,7 @@ class TestMultiprocessPool:
         patterns = random_patterns(circuit, 130, 3)
         ref_list, ref_result, blocks = serial_reference(circuit, patterns, 64)
         fault_list = collapse_stuck_at(circuit).to_fault_list()
-        result = run_sharded_fault_sim(
+        result = sharded_fault_sim(
             circuit,
             fault_list,
             blocks,
@@ -339,7 +319,7 @@ class TestMultiprocessPool:
         patterns = random_patterns(circuit, 130, 3)
         ref_list, ref_result, blocks = serial_reference(circuit, patterns, 64)
         fault_list = collapse_stuck_at(circuit).to_fault_list()
-        result = run_sharded_fault_sim(
+        result = sharded_fault_sim(
             circuit,
             fault_list,
             blocks,
@@ -456,7 +436,7 @@ class TestShardedTransitionSim:
         )
 
         fault_list = FaultList.transition(circuit)
-        result = run_sharded_transition_sim(
+        result = sharded_transition_sim(
             circuit,
             fault_list,
             launch,
@@ -465,7 +445,7 @@ class TestShardedTransitionSim:
             fault_shards=fault_shards,
             pattern_shards=2,
         )
-        assert result.pairs_simulated == ref_result.pairs_simulated
+        assert result.patterns_simulated == ref_result.pairs_simulated
         assert result.coverage_curve == ref_result.coverage_curve
         assert result.coverage == ref_result.coverage
         assert_fault_lists_identical(ref_list, fault_list)
@@ -473,8 +453,10 @@ class TestShardedTransitionSim:
 
 @pytest.mark.multiprocess
 class TestFlowIntegration:
-    def test_flow_campaign_workers_bit_identical_to_serial(self):
-        """The flow's sharded random phase reproduces the serial flow exactly."""
+    @pytest.mark.parametrize("workers", (2, 4))
+    def test_flow_pipeline_workers_bit_identical_to_serial(self, workers):
+        """The flow's pooled walk (one fault shard per worker) reproduces the
+        serial flow exactly."""
         circuit = make_core(2005)
         base = dict(
             total_scan_chains=4,
@@ -486,7 +468,7 @@ class TestFlowIntegration:
         )
         serial = LogicBistFlow(LogicBistConfig(**base)).run(circuit)
         sharded = LogicBistFlow(
-            LogicBistConfig(**base, campaign_workers=2, campaign_fault_shards=4)
+            LogicBistConfig(**base, pipeline_workers=workers)
         ).run(circuit)
         assert sharded.fault_coverage_random == serial.fault_coverage_random
         assert sharded.coverage_curve == serial.coverage_curve

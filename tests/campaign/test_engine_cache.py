@@ -12,14 +12,10 @@ import dataclasses
 
 import pytest
 
-from repro.campaign import (
-    CampaignRunner,
-    CampaignScenario,
-    EngineCache,
-    KeyedLruCache,
-)
-from repro.campaign import runner as runner_module
+from repro.campaign import CampaignRunner, CampaignScenario, EngineCache
+from repro.campaign import pipeline as pipeline_module
 from repro.core import LogicBistConfig
+from repro.util.cache import KeyedLruCache
 
 from test_pipeline_equivalence import make_core
 
@@ -136,8 +132,8 @@ class TestEngineCacheLru:
             EngineCache(maxsize=0)
 
     def test_default_cache_is_bounded(self):
-        assert runner_module._ENGINE_CACHE.maxsize == (
-            runner_module.DEFAULT_ENGINE_CACHE_SIZE
+        assert pipeline_module._ENGINE_CACHE.maxsize == (
+            pipeline_module.DEFAULT_ENGINE_CACHE_SIZE
         )
 
 
@@ -159,10 +155,10 @@ class TestEvictionDoesNotChangeResults:
             for seed in (51, 52)
         ]
         reference = CampaignRunner(num_workers=1, fault_shards=2).run(scenarios)
-        monkeypatch.setattr(runner_module, "_ENGINE_CACHE", EngineCache(maxsize=1))
+        monkeypatch.setattr(pipeline_module, "_ENGINE_CACHE", EngineCache(maxsize=1))
         thrashed = CampaignRunner(num_workers=1, fault_shards=2).run(scenarios)
         assert thrashed.report_bytes() == reference.report_bytes()
-        assert len(runner_module._ENGINE_CACHE) <= 1
+        assert len(pipeline_module._ENGINE_CACHE) <= 1
 
     @pytest.mark.transition
     def test_at_speed_campaign_identical_under_thrashing_cache(self, monkeypatch):
@@ -189,11 +185,11 @@ class TestEvictionDoesNotChangeResults:
             for seed in (53, 54)
         ]
         reference = CampaignRunner(num_workers=1, fault_shards=2).run(scenarios)
-        monkeypatch.setattr(runner_module, "_ENGINE_CACHE", EngineCache(maxsize=1))
+        monkeypatch.setattr(pipeline_module, "_ENGINE_CACHE", EngineCache(maxsize=1))
         thrashed = CampaignRunner(num_workers=1, fault_shards=2).run(scenarios)
         assert thrashed.report_bytes() == reference.report_bytes()
         assert b'"transition"' in thrashed.report_bytes()  # section really ran
-        cache = runner_module._ENGINE_CACHE
+        cache = pipeline_module._ENGINE_CACHE
         assert len(cache) <= 1
         # The serial run released its scenario engines on completion: no
         # transition kernel outlives the campaign.

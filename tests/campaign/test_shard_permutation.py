@@ -16,17 +16,18 @@ from repro.campaign import (
     CampaignRunner,
     CampaignScenario,
     contiguous_shards,
-    execute_tasks,
     keyed_round_robin_shards,
     merge_first_detections,
     plan_grid,
     round_robin_shards,
 )
-from repro.campaign import FaultShardTask, ShardPayload, plan_shard_tasks, with_offsets
+from repro.campaign.pipeline import PHASE_RANDOM, MergeDetectionsStage
 from repro.core import LogicBistConfig
 from repro.cores.generator import SyntheticCoreConfig, generate_synthetic_core
-from repro.faults import FaultSimulator, collapse_stuck_at
+from repro.faults import collapse_stuck_at
 from repro.simulation import iter_blocks
+
+from shard_harness import drain, fan_out_node, stuck_at_bundle
 
 
 def make_core(seed: int):
@@ -109,21 +110,22 @@ class TestShardPlanners:
 
 
 class TestPermutedShardAssignment:
-    def _tasks(self, circuit, blocks, fault_shards, pattern_shards):
+    @staticmethod
+    def _merged_in_order(circuit, blocks, order_seed):
+        """Min-merge of the production shard stages, drained in the node
+        order ``order_seed`` shuffles them into (``None``: as planned)."""
         fault_list = collapse_stuck_at(circuit).to_fault_list()
-        faults = tuple(fault_list.undetected())
-        state = FaultSimulator(circuit).shard_state(faults)
-        offset_blocks = with_offsets(blocks, 0)
-        tasks = plan_shard_tasks(
-            FaultShardTask,
-            "perm",
-            circuit,
-            faults,
-            len(offset_blocks),
-            fault_shards,
-            pattern_shards,
+        bundle = stuck_at_bundle(circuit, fault_list, blocks)
+        node = fan_out_node(
+            bundle, PHASE_RANDOM, MergeDetectionsStage(), 4, pattern_shards=2
         )
-        return tasks, {"perm": ShardPayload(state, tuple(offset_blocks))}
+        shard_nodes = list(node.task.run(bundle).nodes[:-1])
+        assert len(shard_nodes) == 8
+        if order_seed is not None:
+            random.Random(order_seed).shuffle(shard_nodes)
+        run = drain(bundle, shard_nodes)
+        assert [trace.key for trace in run.trace] == [n.key for n in shard_nodes]
+        return merge_first_detections(run.store[n.key] for n in shard_nodes)
 
     def test_merge_is_independent_of_task_order(self):
         circuit = make_core(41)
@@ -131,14 +133,11 @@ class TestPermutedShardAssignment:
         nets = circuit.stimulus_nets()
         patterns = [{n: rng.randint(0, 1) for n in nets} for _ in range(140)]
         blocks = list(iter_blocks(patterns, block_size=32, nets=nets))
-        tasks, payloads = self._tasks(circuit, blocks, fault_shards=4, pattern_shards=2)
 
-        baseline = merge_first_detections(execute_tasks(tasks, payloads))
+        baseline = self._merged_in_order(circuit, blocks, None)
+        assert baseline
         for seed in (1, 2, 3):
-            shuffled = list(tasks)
-            random.Random(seed).shuffle(shuffled)
-            merged = merge_first_detections(execute_tasks(shuffled, payloads))
-            assert merged == baseline
+            assert self._merged_in_order(circuit, blocks, seed) == baseline
 
     def test_report_bytes_invariant_under_shard_and_worker_count(self):
         """The canonical campaign report is byte-identical across every

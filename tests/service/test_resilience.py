@@ -290,6 +290,74 @@ def test_corrupt_progress_falls_back_to_rerun_from_spec(tmp_path):
     assert record.report == clean
 
 
+def test_progress_from_another_revision_reruns_from_spec(
+    tmp_path, monkeypatch, caplog
+):
+    """A progress snapshot whose pickle names a stage class this revision
+    no longer has (one written before a class rename) is refused -- logged,
+    never half-loaded -- and the job re-runs from its spec to the oracle
+    bytes."""
+    import types
+
+    from repro.campaign import pipeline
+    from repro.campaign.scheduler import Expansion, StageNode
+
+    async def submit_without_draining():
+        service = CampaignService(checkpoint_dir=tmp_path)
+        service._queue = asyncio.Queue()  # started enough to accept submits
+        service._loop = asyncio.get_running_loop()
+        return await service.submit(make_scenarios())
+
+    job_id = asyncio.run(submit_without_draining())
+
+    class RetiredShardStage:
+        def run(self):  # pragma: no cover - never unpickled
+            raise AssertionError("a stale stage class was revived")
+
+    # Pickle the recorded expansion under a name that exists only while
+    # the snapshot is written, as an older revision's class would.
+    RetiredShardStage.__module__ = pipeline.__name__
+    RetiredShardStage.__qualname__ = "RetiredShardStage"
+    monkeypatch.setattr(
+        pipeline, "RetiredShardStage", RetiredShardStage, raising=False
+    )
+    stale = types.SimpleNamespace(
+        store={},
+        expansions={
+            "job/s0:good/fault_sim": Expansion(
+                nodes=(
+                    StageNode(
+                        key="job/s0:good/fault_sim/shard0",
+                        task=RetiredShardStage(),
+                    ),
+                ),
+                result="job/s0:good/fault_sim/shard0",
+            )
+        },
+    )
+    store = CheckpointStore(tmp_path)
+    store.save_progress(job_id, stale)
+    monkeypatch.delattr(pipeline, "RetiredShardStage")
+    raw = (tmp_path / job_id / PROGRESS_FILE).read_bytes()
+    assert raw.startswith(CHECKSUM_MAGIC)  # intact frame: refused on load
+    with caplog.at_level("WARNING", logger="repro.service.checkpoint"):
+        assert store.load_progress(job_id) is None
+    assert any("RetiredShardStage" in r.getMessage() for r in caplog.records)
+
+    async def recover():
+        service = CampaignService(checkpoint_dir=tmp_path)
+        recovered = await service.start()
+        assert recovered == [job_id]
+        record = await service.wait(job_id)
+        await service.stop()
+        return record
+
+    record = asyncio.run(recover())
+    assert record.state == "finished"
+    clean = CampaignRunner(num_workers=1).run(make_scenarios()).report_bytes()
+    assert record.report == clean
+
+
 def test_corrupt_spec_skips_job_at_recovery(tmp_path):
     store = CheckpointStore(tmp_path)
     store.save_spec("job-000009", {"not": "a real spec"})

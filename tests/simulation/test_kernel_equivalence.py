@@ -12,7 +12,10 @@ It also covers the strict-stimulus mode that closes the latent
 "missing/misspelled stimulus net silently reads as 0" bug class.
 """
 
+import gc
+import pickle
 import random
+import weakref
 
 import pytest
 
@@ -25,6 +28,7 @@ from repro.simulation import (
     StrictStimulusError,
     iter_blocks,
 )
+from repro.simulation.kernel import CompiledKernel, shared_kernel
 
 BLOCK_SIZES = (1, 17, 64, 256, 1024)
 
@@ -343,3 +347,40 @@ class TestStrictStimulusMode:
         stimulus = {net: 1 for net in circuit.stimulus_nets()}
         values = simulator.simulate_block(stimulus, 1, strict=True)
         assert all(values[net] == 1 for net in circuit.stimulus_nets())
+
+
+class TestSharedKernelCache:
+    """``shared_kernel`` compiles once per live circuit and revision, and
+    its cache entry neither outlives the circuit nor travels in pickles."""
+
+    def test_hit_until_mutation(self):
+        circuit = make_core(7)
+        kernel = shared_kernel(circuit)
+        assert shared_kernel(circuit) is kernel
+        circuit.add_output(circuit.flop_names()[0])
+        refreshed = shared_kernel(circuit)
+        assert refreshed is not kernel
+        assert shared_kernel(circuit) is refreshed
+
+    def test_circuit_is_freed_with_its_kernel(self):
+        """Regression: a process-wide cache whose kernels referred back to
+        their circuits kept every simulated circuit alive forever."""
+        circuit = make_core(8)
+        kernel = weakref.ref(shared_kernel(circuit))
+        alive = weakref.ref(circuit)
+        del circuit
+        gc.collect()
+        assert alive() is None
+        assert kernel() is None
+
+    def test_cached_kernel_adds_no_pickle_bytes(self):
+        """Shard payloads ship circuits: a cached kernel must not ride along."""
+        cached = make_core(9)
+        compiled = make_core(9)
+        kernel = shared_kernel(cached)
+        # Same structural analyses computed, nothing cached on the circuit.
+        CompiledKernel(compiled)
+        blob = pickle.dumps(cached)
+        assert len(blob) == len(pickle.dumps(compiled))
+        restored = pickle.loads(blob)
+        assert shared_kernel(restored) is not kernel
